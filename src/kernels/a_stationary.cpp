@@ -6,9 +6,9 @@
 // reference point.
 //
 // Sharding: strips split across shards; strips overlap in C rows, so
-// each shard accumulates into a PartialC buffer reduced in shard-index
-// order (per C row the contribution order is strips-ascending, same as
-// the serial sweep).
+// each shard accumulates into a compact PartialCT holding only the C
+// rows its strips touch, reduced in shard-index order (per C row the
+// contribution order is strips-ascending, same as the serial sweep).
 #include <algorithm>
 #include <optional>
 
@@ -49,14 +49,14 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
   const i64 total_entries = strip_entry_start[num_strips];
 
   ShardSet shards(cfg, static_cast<i64>(num_strips), kStripGrain);
-  PartialCT<CT> partial(A.rows, K, shards.size());
+  PartialCT<CT> partial(A.row_ptr, A.col_idx, K, spec.strip_width, shards);
   shards.run([&](int sh, ShardRange range, Ctx& ctx) {
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
     const u64 rowptr_base = ctx.mem.allocate(total_rowptr * kIndexBytes, "A.tiles.row_ptr");
     const u64 entry_base =
         ctx.mem.allocate(total_entries * (kIndexBytes + kVB), "A.tiles.entries");
-    DenseMatrixT<CT>& C = partial.shard(sh);
+    auto& C = partial.open(sh);
     std::vector<u64> b_addrs;
 
     for (i64 s = range.begin; s < range.end; ++s) {
@@ -88,7 +88,7 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
           ++ctx.counters.warp_visits;
           ctx.counters.serial_iterations += static_cast<u64>(cnt);
           ctx.counters.observe_chain(static_cast<u64>(cnt));  // ≤ strip width
-          CT* NMDT_RESTRICT c_row = C.row(grow).data();
+          CT* NMDT_RESTRICT c_row = C.row(grow);
           const index_t jb = tile.body.row_ptr[lr];
           const index_t je = tile.body.row_ptr[lr + 1];
           // Every non-zero streams a K-wide B row from DRAM: B has no
@@ -122,7 +122,7 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
   });
   Ctx& merged = shards.merge();
   merged.counters.kernel_launches = 1;
-  return finish<V>(merged, partial.take());
+  return finish<V>(merged, partial.take(cfg.jobs));
 }
 
 template SpmmResult spmm_a_stationary(const SpmmOperandsT<float>&,

@@ -18,8 +18,9 @@
 //                      DRAM sees only the compact CSC stream.
 //
 // Sharding: the strip axis splits across shards (kStripGrain strips
-// each); every strip contributes to every C row, so each shard
-// accumulates into a private PartialC buffer, reduced in shard-index
+// each); strips overlap in C rows, so each shard accumulates into a
+// compact PartialCT holding only the C rows its strips touch (opened
+// inside the shard body), reduced over row blocks in shard-index
 // order.  Per C element the contribution order is strips-ascending
 // under either traversal, so the reduced output is bit-identical to the
 // serial sweep.
@@ -39,7 +40,7 @@ namespace {
 /// one request run issued at tile end.
 template <class V>
 void process_dcsr_tile(Ctx& ctx, const DcsrTileT<V>& tile, const DenseMatrixT<V>& B,
-                       DenseMatrixT<typename VTraits<V>::compute_t>& C,
+                       typename PartialCT<typename VTraits<V>::compute_t>::Shard& C,
                        const DenseLayout& c_layout, index_t b_col_begin,
                        index_t tile_cols, std::vector<u64>& atomic_addrs) {
   using CT = typename VTraits<V>::compute_t;
@@ -53,7 +54,7 @@ void process_dcsr_tile(Ctx& ctx, const DcsrTileT<V>& tile, const DenseMatrixT<V>
     ++ctx.counters.warp_visits;
     ctx.counters.serial_iterations += cols.size();
     ctx.counters.observe_chain(cols.size());  // bounded by strip width
-    CT* NMDT_RESTRICT c_row = C.row(grow).data() + b_col_begin;
+    CT* NMDT_RESTRICT c_row = C.row(grow) + b_col_begin;
     // Broadcast entry read + shared-memory B row sweep + FMA waves, one
     // ×cnt issue call per class (linear identity with the per-non-zero
     // calls).  The B sweep is bounded by the tile width, so the tiled
@@ -148,7 +149,7 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
   const index_t bt = spec.strip_width;  // B tile is bt×bt
 
   ShardSet shards(cfg, tiled.num_strips(), kStripGrain);
-  PartialCT<CT> partial(A.rows, K, shards.size());
+  PartialCT<CT> partial(A.row_ptr, A.col_idx, K, spec.strip_width, shards);
   shards.run([&](int sh, ShardRange range, Ctx& ctx) {
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
@@ -156,7 +157,7 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
         ctx.mem.allocate(off.total_meta_words * kIndexBytes, "A.tiles.row_ptr");
     const u64 entry_base =
         ctx.mem.allocate(off.total_entries * (kIndexBytes + kVB), "A.tiles.entries");
-    DenseMatrixT<CT>& C = partial.shard(sh);
+    auto& C = partial.open(sh);
     std::vector<u64> b_addrs, atomic_addrs;
 
     const VisitOrder visits(K, bt, static_cast<index_t>(range.begin),
@@ -197,7 +198,7 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
           ++ctx.counters.warp_visits;
           ctx.counters.serial_iterations += static_cast<u64>(cnt);
           ctx.counters.observe_chain(static_cast<u64>(cnt));  // ≤ strip width
-          CT* NMDT_RESTRICT c_row = C.row(grow).data() + bc;
+          CT* NMDT_RESTRICT c_row = C.row(grow) + bc;
           ctx.issue(InstrClass::kMemory, ctx.cfg.arch.warp_size, static_cast<u64>(cnt));
           ctx.waves(InstrClass::kMemory, tile_cols, static_cast<u64>(cnt));
           ctx.waves(InstrClass::kFp, tile_cols, static_cast<u64>(cnt));
@@ -218,7 +219,7 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
   merged.counters.kernel_launches = static_cast<u64>((K + bt - 1) / bt);
 
   const double prep = offline_tiling_cost_ns(footprint(A), footprint(tiled), cfg.arch);
-  return finish<V>(merged, partial.take(), 1.0, {}, 0.0, prep);
+  return finish<V>(merged, partial.take(cfg.jobs), 1.0, {}, 0.0, prep);
 }
 
 template <class V>
@@ -242,7 +243,7 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
   const index_t bt = spec.strip_width;
 
   ShardSet shards(cfg, tiled.num_strips(), kStripGrain);
-  PartialCT<CT> partial(A.rows, K, shards.size());
+  PartialCT<CT> partial(A.row_ptr, A.col_idx, K, spec.strip_width, shards);
   shards.run([&](int sh, ShardRange range, Ctx& ctx) {
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
@@ -250,7 +251,7 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
         ctx.mem.allocate(off.total_meta_words * kIndexBytes, "A.tiles.meta");
     const u64 entry_base =
         ctx.mem.allocate(off.total_entries * (kIndexBytes + kVB), "A.tiles.entries");
-    DenseMatrixT<CT>& C = partial.shard(sh);
+    auto& C = partial.open(sh);
     std::vector<u64> b_addrs, atomic_addrs;
 
     const VisitOrder visits(K, bt, static_cast<index_t>(range.begin),
@@ -285,7 +286,7 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
   merged.counters.kernel_launches = static_cast<u64>((K + bt - 1) / bt);
 
   const double prep = offline_tiling_cost_ns(footprint(A), footprint(tiled), cfg.arch);
-  return finish<V>(merged, partial.take(), 1.0, {}, 0.0, prep);
+  return finish<V>(merged, partial.take(cfg.jobs), 1.0, {}, 0.0, prep);
 }
 
 template <class V>
@@ -308,7 +309,7 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
   const StripPlacement placement(cfg.placement, cfg.arch.pseudo_channels);
 
   ShardSet shards(cfg, num_strips, kStripGrain);
-  PartialCT<CT> partial(A.rows, K, shards.size());
+  PartialCT<CT> partial(A.row_ptr, A.col_idx, K, spec.strip_width, shards);
   // Per-shard engine occupancy and stats, folded in shard-index order
   // after the run.  Each strip phase is self-contained (busiest-engine
   // beat delta over the phase), so the per-shard sums add up to exactly
@@ -327,7 +328,7 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
     engines.reserve(static_cast<usize>(cfg.arch.pseudo_channels));
     for (int ch = 0; ch < cfg.arch.pseudo_channels; ++ch) engines.emplace_back(cfg.engine_hw);
 
-    DenseMatrixT<CT>& C = partial.shard(sh);
+    auto& C = partial.open(sh);
     std::vector<u64> b_addrs, atomic_addrs;
 
     // Engine occupancy is phase-structured: the SMs sweep one strip's
@@ -406,7 +407,7 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
     engine_busy_ns += shard_busy_ns[sh];
     total_engine += shard_engine[sh];
   }
-  return finish<V>(merged, partial.take(), 1.0, total_engine, engine_busy_ns, 0.0);
+  return finish<V>(merged, partial.take(cfg.jobs), 1.0, total_engine, engine_busy_ns, 0.0);
 }
 
 #define NMDT_INSTANTIATE_B_STATIONARY(V)                                        \

@@ -8,7 +8,9 @@
 // the result is stored (finish()).
 #pragma once
 
+#include <bit>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -162,9 +164,9 @@ inline index_t b_block_cols(i64 vbytes, index_t K) {
   return static_cast<index_t>(block);
 }
 
-/// dst += src elementwise (the partial-C reduction step; always applied
-/// in ascending shard order so the FP accumulation order is fixed).
-/// Instantiated at the compute precisions (float, double).
+/// dst += src elementwise (the Hong-hybrid phase merge, applied in a
+/// fixed phase order).  Instantiated at the compute precisions (float,
+/// double).
 template <class T>
 void accumulate_dense(DenseMatrixT<T>& dst, const DenseMatrixT<T>& src);
 
@@ -224,23 +226,64 @@ class ShardSet {
   std::vector<Ctx> ctxs_;
 };
 
-/// Per-shard partial C buffers for kernels whose shards contribute to
-/// overlapping C rows (B-/A-stationary).  Buffers hold the compute
-/// precision T.  Shard 0's buffer doubles as the final C: take() folds
-/// shards 1..n-1 into it in index order.
+/// Shard-local compact partial C for the strip-sharded kernels
+/// (B-/A-stationary), whose shards contribute to overlapping C rows.
+/// A shard's strip range reaches only the C rows that hold a non-zero
+/// in its columns (the DCSR observation of Sec. 3.2 applied to partial
+/// sums), so each shard stores just those rows:
+///   * the constructor finds them in one O(nnz) pass over A's column
+///     indices, recording per C row the bitmask of touching shards;
+///   * open() allocates and zero-fills the shard's buffer — called from
+///     the shard body, so the worker thread first-touches its pages;
+///   * take() reduces into the full C in parallel over disjoint row
+///     blocks, adding per C element the touching shards in index order.
+/// Buffers hold the compute precision T.  Every partial starts at +0.0
+/// and receives the same contributions in the same order as a
+/// full-height buffer would, so the only difference from summing
+/// full-height partials is the +0.0 an untouched shard's row used to
+/// add.  That addition changes nothing but a −0.0 sum into +0.0, and
+/// where in the chain it happens does not matter, so take() adds +0.0
+/// once, on the first copy, to every row some shard skipped: C is
+/// bit-identical to the full-height reduction.
 template <class T>
 class PartialCT {
  public:
-  PartialCT(index_t rows, index_t cols, int shards);
+  /// One shard's compact rows: row(r) is valid only for the C rows the
+  /// shard's strips touch.
+  class Shard {
+   public:
+    T* row(index_t r) { return data_.data() + static_cast<usize>(slot_[r]) * cols_; }
 
-  DenseMatrixT<T>& shard(int s) { return buffers_[static_cast<usize>(s)]; }
-  DenseMatrixT<T> take();
+   private:
+    friend class PartialCT;
+    index_t slots_ = 0;  ///< C rows the shard touches
+    usize cols_ = 0;
+    /// C row → slot; rows the shard does not touch map one past the
+    /// last slot, so a stray access lands outside the buffer.
+    std::vector<index_t> slot_;
+    std::vector<T> data_;  ///< slots × cols, row-major
+  };
+
+  /// `row_ptr`/`col_idx` are A's CSR structure; `shards` splits A's
+  /// `strip_width`-wide column strips.  C is row_ptr.size()-1 × cols.
+  PartialCT(std::span<const index_t> row_ptr, std::span<const index_t> col_idx,
+            index_t cols, index_t strip_width, const ShardSet& shards);
+
+  /// Allocate and zero-fill shard `s`'s buffer on the calling thread.
+  Shard& open(int s);
+
+  /// The reduced C on up to `jobs` threads; releases the shard buffers.
+  DenseMatrixT<T> take(int jobs);
 
  private:
-  std::vector<DenseMatrixT<T>> buffers_;
-};
+  /// The lowest-index shard in a touched-row mask.
+  Shard& lowest(u32 mask) { return shards_[static_cast<usize>(std::countr_zero(mask))]; }
 
-using PartialC = PartialCT<value_t>;
+  index_t rows_;
+  index_t cols_;
+  std::vector<u32> touched_;  ///< per C row: bit s ⇔ shard s touches it
+  std::vector<Shard> shards_;
+};
 
 /// Index-based generator of the (b_col_begin, strip) visit sequence of
 /// Sec. 3.1.3 for strips [strip_begin, strip_end): replaces the

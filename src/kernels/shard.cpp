@@ -81,15 +81,74 @@ void accumulate_dense(DenseMatrixT<T>& dst, const DenseMatrixT<T>& src) {
 }
 
 template <class T>
-PartialCT<T>::PartialCT(index_t rows, index_t cols, int shards) {
-  buffers_.reserve(static_cast<usize>(shards));
-  for (int s = 0; s < shards; ++s) buffers_.emplace_back(rows, cols, T{});
+PartialCT<T>::PartialCT(std::span<const index_t> row_ptr, std::span<const index_t> col_idx,
+                        index_t cols, index_t strip_width, const ShardSet& shards)
+    : rows_(static_cast<index_t>(row_ptr.size()) - 1),
+      cols_(cols),
+      touched_(static_cast<usize>(rows_), 0),
+      shards_(static_cast<usize>(shards.size())) {
+  static_assert(kMaxKernelShards < 32, "touched-row masks are 32 bits wide");
+  NMDT_TRACE_SCOPE("partial_c_rows");
+  // Column → shard through the strip each column belongs to.
+  std::vector<u8> strip_shard;
+  for (int s = 0; s < shards.size(); ++s) {
+    const ShardRange r = shards.range(s);
+    strip_shard.resize(static_cast<usize>(r.end), static_cast<u8>(s));
+  }
+  for (index_t r = 0; r < rows_; ++r) {
+    u32 mask = 0;
+    for (index_t j = row_ptr[r]; j < row_ptr[r + 1]; ++j) {
+      mask |= u32{1} << strip_shard[static_cast<usize>(col_idx[j] / strip_width)];
+    }
+    touched_[static_cast<usize>(r)] = mask;
+    for (; mask != 0; mask &= mask - 1) ++lowest(mask).slots_;
+  }
 }
 
 template <class T>
-DenseMatrixT<T> PartialCT<T>::take() {
-  DenseMatrixT<T> out = std::move(buffers_[0]);
-  for (usize s = 1; s < buffers_.size(); ++s) accumulate_dense(out, buffers_[s]);
+typename PartialCT<T>::Shard& PartialCT<T>::open(int s) {
+  Shard& sh = shards_[static_cast<usize>(s)];
+  sh.cols_ = static_cast<usize>(cols_);
+  sh.slot_.resize(static_cast<usize>(rows_));
+  index_t next = 0;
+  for (index_t r = 0; r < rows_; ++r) {
+    const bool touched = touched_[static_cast<usize>(r)] >> s & 1;
+    sh.slot_[static_cast<usize>(r)] = touched ? next++ : sh.slots_;
+  }
+  sh.data_.assign(static_cast<usize>(sh.slots_) * sh.cols_, T{});
+  return sh;
+}
+
+template <class T>
+DenseMatrixT<T> PartialCT<T>::take(int jobs) {
+  NMDT_TRACE_SCOPE("partial_c_reduce");
+  // Rows no shard touches keep this +0.0 fill, which is what the sum
+  // of all-zero partials gives.
+  DenseMatrixT<T> out(rows_, cols_, T{});
+  const u32 all = (u32{1} << shards_.size()) - 1;
+  const usize k = static_cast<usize>(cols_);
+  constexpr i64 kRowBlock = 128;
+  const i64 blocks = (static_cast<i64>(rows_) + kRowBlock - 1) / kRowBlock;
+  run_indexed(jobs, blocks, [&](i64 b) {
+    const index_t end = static_cast<index_t>(std::min<i64>((b + 1) * kRowBlock, rows_));
+    for (index_t r = static_cast<index_t>(b * kRowBlock); r < end; ++r) {
+      u32 mask = touched_[static_cast<usize>(r)];
+      if (mask == 0) continue;
+      T* NMDT_RESTRICT dst = out.row(r).data();
+      const T* NMDT_RESTRICT first = lowest(mask).row(r);
+      // A skipped shard's +0.0, added once (see the class comment).
+      if (mask != all) {
+        for (usize i = 0; i < k; ++i) dst[i] = first[i] + T{0};
+      } else {
+        std::copy(first, first + k, dst);
+      }
+      for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
+        const T* NMDT_RESTRICT src = lowest(mask).row(r);
+        for (usize i = 0; i < k; ++i) dst[i] += src[i];
+      }
+    }
+  });
+  shards_.clear();
   return out;
 }
 

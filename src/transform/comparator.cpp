@@ -1,6 +1,6 @@
 #include "transform/comparator.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -9,65 +9,35 @@
 
 namespace nmdt {
 
-namespace {
-
-struct Node {
-  index_t coord = std::numeric_limits<index_t>::max();
-  u64 mask = 0;
-  bool valid = false;
-};
-
-/// One 2-input comparator unit (Fig. 15a): minimum coordinate plus the
-/// merged position bitvector on ties.
-Node combine(const Node& a, const Node& b, u64& ops) {
-  ++ops;
-  if (!a.valid) return b;
-  if (!b.valid) return a;
-  Node out;
-  out.valid = true;
-  if (a.coord < b.coord) {
-    out.coord = a.coord;
-    out.mask = a.mask;
-  } else if (b.coord < a.coord) {
-    out.coord = b.coord;
-    out.mask = b.mask;
-  } else {
-    out.coord = a.coord;
-    out.mask = a.mask | b.mask;  // tie: report all minimum positions
-  }
-  return out;
-}
-
-}  // namespace
-
 MinReduceResult comparator_tree_min(std::span<const index_t> coords,
                                     std::span<const u8> valid) {
   NMDT_REQUIRE(coords.size() == valid.size(), "coords/valid length mismatch");
   NMDT_REQUIRE(coords.size() <= 64, "comparator tree limited to 64 lanes");
   MinReduceResult res;
-  if (coords.empty()) return res;
-
-  std::vector<Node> level(coords.size());
-  for (usize i = 0; i < coords.size(); ++i) {
-    level[i].coord = coords[i];
-    level[i].mask = u64{1} << i;
-    level[i].valid = valid[i] != 0;
-  }
-  // Pairwise tree reduction, exactly the Fig. 15b topology.
-  while (level.size() > 1) {
-    std::vector<Node> next;
-    next.reserve((level.size() + 1) / 2);
-    for (usize i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(combine(level[i], level[i + 1], res.comparator_ops));
-    }
-    if (level.size() % 2 == 1) next.push_back(level.back());  // odd lane bypasses
-    level = std::move(next);
-  }
-  res.any_valid = level[0].valid;
+  const usize n = coords.size();
+  if (n == 0) return res;
+  // Each lane becomes one order-preserving key: the coordinate biased
+  // into [0, 2^32) when valid, 2^32 when exhausted, so an invalid lane
+  // loses to every valid one and never ties with it.  Minimum and tie
+  // mask are associative, so two branch-free passes give the tree's
+  // result without materializing its levels.
+  constexpr u32 kBias = u32{1} << 31;
+  constexpr u64 kInvalid = u64{1} << 32;
+  const auto key = [&](usize i) -> u64 {
+    return valid[i] != 0 ? u64{static_cast<u32>(coords[i]) ^ kBias} : kInvalid;
+  };
+  u64 min_key = kInvalid;
+  for (usize i = 0; i < n; ++i) min_key = std::min(min_key, key(i));
+  u64 mask = 0;
+  for (usize i = 0; i < n; ++i) mask |= u64{key(i) == min_key} << i;
+  res.any_valid = min_key != kInvalid;
   if (res.any_valid) {
-    res.min_coord = level[0].coord;
-    res.lane_mask = level[0].mask;
+    res.min_coord = static_cast<index_t>(static_cast<u32>(min_key) ^ kBias);
+    res.lane_mask = mask;
   }
+  // The Fig. 15b tree combines n leaves pairwise: n - 1 units fire
+  // whatever the valid bits.
+  res.comparator_ops = n - 1;
   return res;
 }
 

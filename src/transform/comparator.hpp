@@ -6,10 +6,12 @@
 // the smaller coordinate and a bitvector marking *every* position that
 // holds the minimum — ties must merge (min[3:0] = 0101 in the paper's
 // example) because one engine step consumes all columns whose frontier
-// sits on the same row.  The functional model mirrors that structure
-// stage by stage so the unit tests can check tie handling exactly as
-// the hardware would produce it, and so stage/op counts feed the
-// Sec. 5.3 pipeline model.
+// sits on the same row.  Both outputs are associative (min, and OR of
+// the positions holding it), so the tree's result does not depend on
+// its topology: the functional model computes it in two fixed-size,
+// branch-free passes with no heap allocation (it runs once per engine
+// step), books the tree's n - 1 comparator units, and leaves depth to
+// comparator_stages() for the Sec. 5.3 pipeline model.
 #pragma once
 
 #include <span>
@@ -30,11 +32,15 @@ struct MinReduceResult {
 
 /// Hierarchical reduction over up to 64 lanes. `valid[i]` false means
 /// lane i has exhausted its column (boundary reached) and must not win.
+/// comparator_ops is lanes - 1 (0 for no lanes), whatever the valid
+/// bits: every unit of the tree fires.
 MinReduceResult comparator_tree_min(std::span<const index_t> coords,
                                     std::span<const u8> valid);
 
-/// Reference linear scan with identical semantics; the property tests
-/// assert tree == reference on random inputs.
+/// Reference linear scan: the same min_coord, lane_mask and any_valid
+/// as comparator_tree_min (the property tests assert it on random
+/// inputs), but comparator_ops counts the valid lanes it compared, not
+/// the tree's lanes - 1.
 MinReduceResult linear_scan_min(std::span<const index_t> coords,
                                 std::span<const u8> valid);
 

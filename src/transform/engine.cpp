@@ -278,7 +278,10 @@ void ConversionEngine::convert_tile_checked_into(DcsrTileT<V>& out, const CscT<V
                                                  MemorySystem* mem,
                                                  const CscDeviceLayout* layout,
                                                  int pinned_channel) {
-  const StripCursor::Snapshot snap = cursor.save();
+  ConversionArena& arena = ConversionArena::local();
+  const ConversionArena::Scope snap_scope(arena);
+  const StripCursor::Snapshot snap =
+      cursor.save(arena.alloc<index_t>(static_cast<usize>(cursor.lanes())));
   convert_tile_into(out, csc, cursor, row_start, spec, mem, layout, pinned_channel, 0);
   if (verify_dcsr_tile(out)) return;
 

@@ -87,15 +87,20 @@ class StripCursor {
   /// Resumable cursor state (boundary_ is immutable, so frontier and
   /// watermark are the whole story).  Recovery paths snapshot before a
   /// tile conversion and restore to re-run it after an integrity
-  /// failure.
+  /// failure.  The frontier copy lives in caller-provided storage of
+  /// lanes() entries (arena scratch on the conversion path), so taking
+  /// a snapshot allocates nothing.
   struct Snapshot {
     index_t watermark = 0;
-    std::vector<index_t> frontier;
+    std::span<const index_t> frontier;
   };
-  Snapshot save() const { return {watermark_, frontier_}; }
+  Snapshot save(std::span<index_t> storage) const {
+    std::copy(frontier_.begin(), frontier_.end(), storage.begin());
+    return {watermark_, storage.first(frontier_.size())};
+  }
   void restore(const Snapshot& s) {
     watermark_ = s.watermark;
-    frontier_ = s.frontier;
+    std::copy(s.frontier.begin(), s.frontier.end(), frontier_.begin());
   }
 
  private:

@@ -4,6 +4,8 @@
 // throughput/area/energy accounting reproduced.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "formats/convert.hpp"
 #include "formats/footprint.hpp"
 #include "matgen/generators.hpp"
@@ -78,6 +80,34 @@ TEST(Comparator, StagesAreLog2) {
   EXPECT_EQ(comparator_stages(33), 6);
 }
 
+TEST(Comparator, OpsAreLanesMinusOneWhateverTheValidBits) {
+  // Every unit of an n-leaf tree fires once: n - 1 combines, for all
+  // valid, all invalid or mixed lanes alike.
+  Rng rng(99);
+  for (int lanes = 1; lanes <= 64; ++lanes) {
+    std::vector<index_t> coords(static_cast<usize>(lanes));
+    for (auto& c : coords) c = static_cast<index_t>(rng.below(16));
+    for (const double p_valid : {0.0, 0.5, 1.0}) {
+      std::vector<u8> valid(static_cast<usize>(lanes));
+      for (auto& v : valid) v = rng.chance(p_valid) ? 1 : 0;
+      EXPECT_EQ(comparator_tree_min(coords, valid).comparator_ops,
+                static_cast<u64>(lanes - 1))
+          << lanes << " lanes, p_valid " << p_valid;
+    }
+  }
+  EXPECT_EQ(comparator_tree_min({}, {}).comparator_ops, 0u);
+}
+
+TEST(Comparator, ExtremeCoordinatesNeverTieWithInvalidLanes) {
+  constexpr index_t kMax = std::numeric_limits<index_t>::max();
+  const std::vector<index_t> coords{kMax, 0, kMax, 3};
+  const std::vector<u8> valid{1, 0, 1, 0};
+  const MinReduceResult r = comparator_tree_min(coords, valid);
+  EXPECT_TRUE(r.any_valid);
+  EXPECT_EQ(r.min_coord, kMax);
+  EXPECT_EQ(r.lane_mask, 0b0101u);
+}
+
 class ComparatorProperty : public testing::TestWithParam<int> {};
 
 TEST_P(ComparatorProperty, TreeMatchesLinearScanOnRandomInputs) {
@@ -86,22 +116,22 @@ TEST_P(ComparatorProperty, TreeMatchesLinearScanOnRandomInputs) {
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<index_t> coords(static_cast<usize>(lanes));
     std::vector<u8> valid(static_cast<usize>(lanes));
+    // Every tenth trial has no valid lane; the rest mostly valid ones.
+    const double p_valid = trial % 10 == 0 ? 0.0 : 0.8;
     for (int i = 0; i < lanes; ++i) {
       coords[i] = static_cast<index_t>(rng.below(8));  // small range forces ties
-      valid[i] = rng.chance(0.8) ? 1 : 0;
+      valid[i] = rng.chance(p_valid) ? 1 : 0;
     }
     const MinReduceResult tree = comparator_tree_min(coords, valid);
     const MinReduceResult ref = linear_scan_min(coords, valid);
     EXPECT_EQ(tree.any_valid, ref.any_valid);
-    if (ref.any_valid) {
-      EXPECT_EQ(tree.min_coord, ref.min_coord);
-      EXPECT_EQ(tree.lane_mask, ref.lane_mask);
-    }
+    EXPECT_EQ(tree.min_coord, ref.min_coord);
+    EXPECT_EQ(tree.lane_mask, ref.lane_mask);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(LaneCounts, ComparatorProperty,
-                         testing::Values(1, 2, 3, 4, 7, 8, 16, 31, 32, 33, 64));
+                         testing::Values(1, 2, 3, 4, 7, 8, 16, 31, 32, 33, 63, 64));
 
 // ---------------------------------------------------------------------
 // Conversion engine vs offline tiling.
