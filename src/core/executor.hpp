@@ -8,12 +8,14 @@
 // run_suite — the Fig. 4 / Fig. 16 sweep — lives here too: each suite
 // matrix is planned once and its four kernel arms execute against the
 // shared plan, with per-matrix rows AND per-kernel arms fanned out
-// across one shared ThreadPool.  Results are bit-identical at any job
-// count: every task is a deterministic function of (spec, cfg, K, row
-// index) — matrix generation and the B block use per-task RNG seeding —
-// and rows are assembled in spec order.  The SuiteProgress callback is
-// always invoked from the calling thread with monotonically increasing
-// `done`, regardless of worker completion order.
+// across one shared ThreadPool.  It is a thin wrapper over the suite
+// driver (core/suite_driver.hpp), which proc::run_suite_isolated shares.
+// Results are bit-identical at any job count: every task is a
+// deterministic function of (spec, cfg, K, row index) — matrix
+// generation and the B block use per-task RNG seeding — and rows are
+// assembled in spec order.  The SuiteProgress callback is always
+// invoked from the calling thread with monotonically increasing `done`,
+// regardless of worker completion order.
 //
 // Durable execution (SuiteOptions): a sweep can journal every completed
 // unit of work to a checkpoint file (core/journal.hpp), honor
@@ -136,7 +138,7 @@ struct SuiteOptions {
   /// share state, so the caller keeps a copy and request()s it.
   CancelToken cancel{};
   /// Diagnostic/test hook invoked after every journal append with the
-  /// writer's entry count; called from worker threads.
+  /// writer's entry count; called from the thread that runs the sweep.
   std::function<void(usize entries)> on_checkpoint;
 };
 

@@ -1,4 +1,4 @@
-// Checkpoint journal for durable suite sweeps (core/executor run_suite).
+// Checkpoint journal for durable suite sweeps (core/suite_driver.hpp).
 //
 // A sweep over matrices × kernel arms is hours of work at paper scale;
 // this journal makes it survivable: every completed unit of work — a
@@ -127,10 +127,10 @@ void verify_journal(const JournalReplay& replay, u64 fingerprint, usize total,
 std::string journal_summary_json(const JournalReplay& replay,
                                  const std::string& path);
 
-/// Append-side handle.  Thread-safe: suite arms complete on pool
-/// threads and append concurrently; frames are serialized under one
-/// mutex.  Data is fsynced every `checkpoint_interval` entries and once
-/// more on flush(), bounding post-crash loss to the interval.
+/// Append-side handle.  Thread-safe: frames are serialized under one
+/// mutex (the suite driver appends from its one thread).  Data is
+/// fsynced every `checkpoint_interval` entries and once more on
+/// flush(), bounding post-crash loss to the interval.
 class JournalWriter {
  public:
   /// Open `path`.  `append` continues an existing journal (resume);

@@ -11,11 +11,13 @@
 #include <bit>
 #include <functional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gpusim/warp.hpp"
 #include "kernels/spmm.hpp"
+#include "util/error.hpp"
 #include "util/precision.hpp"
 #include "util/simd.hpp"
 
@@ -319,12 +321,27 @@ class VisitOrder {
   TraversalOrder order_;
 };
 
+/// The artifact a kernel consumes from its bundle (kernels never convert).
+template <class T>
+const T& required(const T* artifact, const char* name) {
+  NMDT_REQUIRE(artifact != nullptr,
+               std::string("operand bundle lacks the ") + name + " artifact");
+  return *artifact;
+}
+
+/// A tiled artifact must also have been built under the run's tiling.
+template <class T>
+const T& required_tiled(const T* artifact, const TilingSpec& spec, const char* name) {
+  const T& a = required(artifact, name);
+  NMDT_REQUIRE(a.spec == spec,
+               std::string(name) + " artifact was built under a different TilingSpec");
+  return a;
+}
+
 // Kernel implementations (one translation unit per family), templated
 // on the stored value type and explicitly instantiated for float,
 // double, and bf16_t in their defining translation units.  Each takes
-// the operand bundle and consumes the pre-converted artifact it needs,
-// converting locally only when the field is absent (legacy path) or
-// built under a different tiling than cfg.tiling.
+// a complete operand bundle (required / required_tiled above).
 template <class V>
 SpmmResult spmm_csr_row_warp(const SpmmOperandsT<V>& A, const DenseMatrixT<V>& B,
                              const SpmmConfig& cfg);

@@ -67,8 +67,9 @@ SpmmResult spmm_hong_hybrid(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>& 
   SpmmResult light_res;
   bool ran_heavy = false, ran_light = false;
   if (split.heavy.nnz() > 0) {
-    heavy_res =
-        spmm_tiled_dcsr_b_stationary(SpmmOperandsT<V>::from_csr(split.heavy), B, cfg);
+    const KernelOperandsT<V> heavy =
+        operands_for(KernelKind::kTiledDcsrBStationary, split.heavy, cfg.tiling);
+    heavy_res = spmm_tiled_dcsr_b_stationary(heavy.bundle(), B, cfg);
     ran_heavy = true;
   }
   if (split.light.nnz() > 0) {

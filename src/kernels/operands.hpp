@@ -1,23 +1,20 @@
-// Pre-converted operand bundle consumed by the SpMM kernels.
+// Operand bundles consumed by the SpMM kernels.
 //
-// Historically every kernel converted its own input (CSC for the online
-// engine, DCSR for the densified C-stationary arm, tiled forms for the
-// offline arms) on every call.  The Plan → Execute split moves those
-// conversions to plan time: a kernel receives this bundle and uses
-// whichever pre-converted artifact it needs, falling back to a local
-// one-shot conversion only when the field is absent (the legacy
-// `run_spmm(kind, A, B, cfg)` compatibility path) or when a tiled form
-// was built under a different TilingSpec than the run's config.
-//
-// All pointers are non-owning views; the caller (an SpmmPlan, or the
-// legacy shim's stack frame) guarantees they outlive the kernel call.
-// `csr` is always required — it is the canonical operand every kernel
-// can derive from.
+// A kernel never converts its sparse operand: the bundle must already
+// carry the format it consumes, or the kernel fails NMDT_REQUIRE (as it
+// does for a tiled artifact built under another TilingSpec than the
+// run's).  Complete bundles come from an SpmmPlan (core/plan.hpp), which
+// converts every format once, or from operands_for (kernels/spmm.hpp),
+// which builds what one kernel needs — the legacy run_spmm entries and
+// the Hong hybrid's heavy phase use it.  Bundle pointers are non-owning;
+// the plan (or the KernelOperandsT and its CSR) outlives the call.
 //
 // The bundle is typed on the stored value precision V: every format in
 // one bundle carries the same scalar type, so a kernel can never mix
 // operands rounded at different precisions.
 #pragma once
+
+#include <optional>
 
 #include "formats/csc.hpp"
 #include "formats/csr.hpp"
@@ -35,7 +32,7 @@ struct SpmmOperandsT {
   const TiledCsrT<V>* tiled_csr = nullptr;     ///< tiled-CSR strawman, A-stationary
   const StripNnz* strip_nnz = nullptr;         ///< B-stationary strip-skip table
 
-  /// CSR-only bundle (every other format converts on demand).
+  /// CSR-only bundle: complete for the CSR kernels and the Hong hybrid.
   static SpmmOperandsT from_csr(const CsrT<V>& a) {
     SpmmOperandsT ops;
     ops.csr = &a;
@@ -45,5 +42,29 @@ struct SpmmOperandsT {
 
 /// Default-precision alias; existing f32 call sites use this name.
 using SpmmOperands = SpmmOperandsT<value_t>;
+
+/// Owning storage for the formats one kernel consumes beyond CSR (built
+/// by operands_for); the CSR operand itself stays the caller's.
+template <class V>
+struct KernelOperandsT {
+  const CsrT<V>* csr = nullptr;
+  std::optional<CscT<V>> csc;
+  std::optional<DcsrT<V>> dcsr;
+  std::optional<TiledDcsrT<V>> tiled_dcsr;
+  std::optional<TiledCsrT<V>> tiled_csr;
+  std::optional<StripNnz> strip_nnz;
+
+  /// View over the built formats (valid while this object lives).
+  SpmmOperandsT<V> bundle() const {
+    SpmmOperandsT<V> ops;
+    ops.csr = csr;
+    ops.csc = csc ? &*csc : nullptr;
+    ops.dcsr = dcsr ? &*dcsr : nullptr;
+    ops.tiled_dcsr = tiled_dcsr ? &*tiled_dcsr : nullptr;
+    ops.tiled_csr = tiled_csr ? &*tiled_csr : nullptr;
+    ops.strip_nnz = strip_nnz ? &*strip_nnz : nullptr;
+    return ops;
+  }
+};
 
 }  // namespace nmdt

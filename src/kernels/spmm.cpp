@@ -78,6 +78,36 @@ SpmmResult dispatch_spmm(KernelKind kind, const SpmmOperandsT<V>& A,
 }  // namespace
 
 template <class V>
+KernelOperandsT<V> operands_for(KernelKind kind, const CsrT<V>& csr, const TilingSpec& tiling) {
+  KernelOperandsT<V> out;
+  out.csr = &csr;
+  switch (kind) {
+    case KernelKind::kDcsrCStationary:
+    case KernelKind::kMergeCStationary: out.dcsr.emplace(dcsr_from_csr(csr)); break;
+    case KernelKind::kTiledDcsrOnline: out.csc.emplace(csc_from_csr(csr)); break;
+    case KernelKind::kTiledDcsrBStationary:
+      out.tiled_dcsr.emplace(tiled_dcsr_from_csr(csr, tiling));
+      out.strip_nnz.emplace(strip_nnz_of(csr, tiling));
+      break;
+    case KernelKind::kTiledCsrBStationary:
+      out.strip_nnz.emplace(strip_nnz_of(csr, tiling));
+      [[fallthrough]];
+    case KernelKind::kAStationary:
+      out.tiled_csr.emplace(tiled_csr_from_csr(csr, tiling));
+      break;
+    default: break;  // CSR kernels; the Hong hybrid splits CSR per call
+  }
+  return out;
+}
+
+template KernelOperandsT<float> operands_for(KernelKind, const CsrT<float>&,
+                                             const TilingSpec&);
+template KernelOperandsT<double> operands_for(KernelKind, const CsrT<double>&,
+                                              const TilingSpec&);
+template KernelOperandsT<bf16_t> operands_for(KernelKind, const CsrT<bf16_t>&,
+                                              const TilingSpec&);
+
+template <class V>
 SpmmResult run_spmm_t(KernelKind kind, const SpmmOperandsT<V>& A,
                       const DenseMatrixT<V>& B, const SpmmConfig& cfg) {
   NMDT_REQUIRE(A.csr != nullptr, "SpmmOperands must carry the CSR operand");
@@ -138,17 +168,19 @@ template SpmmResult run_spmm_t(KernelKind, const SpmmOperandsT<bf16_t>&,
 
 SpmmResult run_spmm(KernelKind kind, const SpmmOperands& A, const DenseMatrix& B,
                     const SpmmConfig& cfg) {
-  if (cfg.precision == Precision::kF32) return run_spmm_t<float>(kind, A, B, cfg);
-  // Legacy untyped entry asked for a non-default precision: retype the
-  // canonical f32 operands once (derived formats rebuild on demand at
-  // the kernel's precision — structural conversions commute with
-  // retyping, so results match a fully pre-converted plan).
   NMDT_REQUIRE(A.csr != nullptr, "SpmmOperands must carry the CSR operand");
+  cfg.tiling.validate();
   return dispatch_precision(cfg.precision, [&](auto tag) -> SpmmResult {
     using V = typename decltype(tag)::type;
-    const CsrT<V> a = retype<V>(*A.csr);
-    const DenseMatrixT<V> b = retype<V>(B);
-    return run_spmm_t<V>(kind, SpmmOperandsT<V>::from_csr(a), b, cfg);
+    if constexpr (std::is_same_v<V, value_t>) {
+      return run_spmm_t<V>(kind, operands_for(kind, *A.csr, cfg.tiling).bundle(), B, cfg);
+    } else {
+      // Retype the canonical f32 operands once, then convert at the
+      // kernel's precision (conversions commute with retyping).
+      const CsrT<V> a = retype<V>(*A.csr);
+      return run_spmm_t<V>(kind, operands_for(kind, a, cfg.tiling).bundle(), retype<V>(B),
+                           cfg);
+    }
   });
 }
 

@@ -32,6 +32,8 @@
 //                             (C-stationary) — suffers the B-overlap
 //                             re-reads and preprocessing cost the
 //                             online engine avoids
+//
+// Kernels take complete operand bundles (kernels/operands.hpp).
 #pragma once
 
 #include <string>
@@ -145,28 +147,32 @@ struct SpmmResult {
   bool used_fallback = false;
 };
 
-/// Run one kernel against a pre-converted operand bundle (the planned
-/// path): each kernel consumes the artifact it needs from `A` and only
-/// converts locally when it is missing.  The modelled offline-prep cost
-/// (`SpmmResult::offline_prep_ns`) is unchanged either way — it is part
-/// of the report semantics, not of host work.
-SpmmResult run_spmm(KernelKind kind, const SpmmOperands& A, const DenseMatrix& B,
-                    const SpmmConfig& cfg);
+/// Build the formats `kind` consumes from `csr` under `tiling`; `csr`
+/// must outlive the result, whose bundle() is complete for `kind`.
+template <class V>
+KernelOperandsT<V> operands_for(KernelKind kind, const CsrT<V>& csr, const TilingSpec& tiling);
 
 /// Typed entry point: operands and B stored at precision V, arithmetic
-/// at VTraits<V>::compute_t.  The f32 instantiation is the exact legacy
-/// code path (bit-identical results and simulated metrics).  Explicitly
-/// instantiated for float, double, and bf16_t.
+/// at VTraits<V>::compute_t.  `A` must be complete for `kind` (an
+/// SpmmPlan's bundle, or operands_for): kernels never convert, and a
+/// missing artifact or a tiled one built under another TilingSpec than
+/// cfg.tiling fails NMDT_REQUIRE.  Explicitly instantiated for float,
+/// double, and bf16_t.
 template <class V>
 SpmmResult run_spmm_t(KernelKind kind, const SpmmOperandsT<V>& A,
                       const DenseMatrixT<V>& B, const SpmmConfig& cfg);
 
-/// Compatibility shim: A given as CSR only; kernels that consume other
-/// formats (CSC for online conversion, tiled forms for offline) convert
-/// internally, one-shot.  Prefer building an SpmmPlan (core/plan.hpp)
-/// when the same A is multiplied repeatedly.  When `cfg.precision` is
-/// not f32 the f32 operands are retyped (one RNE rounding into bf16,
-/// exact widening into f64) before the typed kernel runs.
+/// Legacy untyped entry: only `A.csr` is used.  It is retyped to
+/// `cfg.precision` (RNE into bf16, exact widening into f64) and
+/// operands_for builds what the kernel needs, once.  Conversions commute
+/// with retyping, so results (offline_prep_ns included) match an
+/// SpmmPlan built at that precision bit for bit.
+SpmmResult run_spmm(KernelKind kind, const SpmmOperands& A, const DenseMatrix& B,
+                    const SpmmConfig& cfg);
+
+/// Legacy entry with A as CSR only: `run_spmm(kind, from_csr(A), …)`.
+/// Prefer building an SpmmPlan (core/plan.hpp) when the same A is
+/// multiplied repeatedly.
 SpmmResult run_spmm(KernelKind kind, const Csr& A, const DenseMatrix& B,
                     const SpmmConfig& cfg);
 

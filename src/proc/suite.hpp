@@ -4,15 +4,13 @@
 // in-process pool threads.
 //
 // Bit-identity contract: rows are identical to in-process run_suite at
-// any worker count.  Workers are forked without exec, so they inherit
-// the specs / config as live objects and task payloads carry only
-// (row, arm) coordinates; each worker computes the same pure function
-// — per-row RNG seeding (0xb0b0 + idx) and plan construction are the
-// executor's exact expressions — and timings / profiles travel back as
-// raw f64 / encoded-profile bits.  The checkpoint journal is written
-// only by the supervising parent, in the same entry vocabulary as the
-// in-process runner, so --resume composes across modes (start a sweep
-// in-process, resume it isolated, or vice versa).
+// any worker count — both are the suite driver (core/suite_driver.hpp)
+// over different backends.  Workers are forked without exec, so task
+// payloads carry only (row, arm) coordinates; a worker computes a task
+// through the same suite_row_inputs / run_suite_arm functions as the
+// in-process backend and ships back raw f64 / encoded-profile bits.
+// Only the suite driver in the parent writes the journal, so --resume
+// composes across modes.
 //
 // Failure semantics: a worker crash (SIGSEGV / SIGKILL / abort /
 // RLIMIT_AS breach / missed heartbeat) re-dispatches the in-flight

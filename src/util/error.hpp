@@ -49,7 +49,7 @@ class FaultError : public Error {
 };
 
 /// A work unit exceeded its wall-clock deadline (per-arm --arm-timeout)
-/// and was cooperatively cancelled by the suite watchdog.  Recorded as a
+/// and unwound at its next cancellation poll.  Recorded as a
 /// typed FAILED row like any other arm error; CLI exit code 6.
 class TimeoutError : public Error {
  public:

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,13 @@
 
 namespace nmdt {
 namespace {
+
+template <class T>
+bool same_bits(const DenseMatrixT<T>& x, const DenseMatrixT<T>& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  return x.data().empty() ||  // memcmp must not see the null data of an empty C64
+         std::memcmp(x.data().data(), y.data().data(), x.data().size() * sizeof(T)) == 0;
+}
 
 /// Two matrices with identical dims, nnz, and values but different
 /// sparsity patterns — the case a naive (dims, nnz) cache key would
@@ -341,17 +350,69 @@ TEST(Executor, PlannedRunMatchesLegacyShimBitwise) {
   Rng rng(4);
   DenseMatrix B(A.cols, K);
   B.randomize(rng);
-  const SpmmConfig cfg = evaluation_config(A.rows, K);
-  const auto plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0});
-  const SpmmExecutor ex(cfg);
+  // The planned path converts once into the plan; the legacy shim
+  // converts with operands_for at the run's precision.  Both must feed
+  // every kernel bit-identical operands.
+  for (Precision precision : {Precision::kF32, Precision::kF64, Precision::kBf16}) {
+    SpmmConfig cfg = evaluation_config(A.rows, K);
+    cfg.precision = precision;
+    const auto plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, precision});
+    const SpmmExecutor ex(cfg);
+    for (KernelKind kind :
+         {KernelKind::kCsrCStationaryRowWarp, KernelKind::kCsrCStationaryRowThread,
+          KernelKind::kDcsrCStationary, KernelKind::kTiledCsrBStationary,
+          KernelKind::kTiledDcsrBStationary, KernelKind::kTiledDcsrOnline,
+          KernelKind::kAStationary, KernelKind::kMergeCStationary, KernelKind::kHongHybrid}) {
+      SCOPED_TRACE(std::string(kernel_name(kind)) + " " + precision_name(precision));
+      const SpmmResult planned = ex.execute(kind, *plan, B);
+      const SpmmResult legacy = run_spmm(kind, A, B, cfg);
+      EXPECT_EQ(planned.C.max_abs_diff(legacy.C), 0.0) << kernel_name(kind);
+      EXPECT_TRUE(same_bits(planned.C, legacy.C));
+      EXPECT_TRUE(same_bits(planned.C64, legacy.C64));
+      EXPECT_EQ(planned.timing.total_ns, legacy.timing.total_ns) << kernel_name(kind);
+      EXPECT_EQ(planned.offline_prep_ns, legacy.offline_prep_ns);
+      EXPECT_EQ(planned.counters.flops, legacy.counters.flops) << kernel_name(kind);
+      EXPECT_EQ(planned.counters, legacy.counters);
+    }
+  }
+}
+
+TEST(Executor, KernelsRequireCompleteOperands) {
+  const Csr A = gen_uniform(128, 128, 0.05, 3);
+  const index_t K = 8;
+  Rng rng(5);
+  DenseMatrix B(A.cols, K);
+  B.randomize(rng);
+  const SpmmConfig cfg;  // tiling 64x64
+  const SpmmOperands csr_only = SpmmOperands::from_csr(A);
+  PlanOptions other_tiling;
+  other_tiling.tiling = TilingSpec{32, 32};
+  const auto mistiled = build_plan(A, other_tiling);
   for (KernelKind kind :
-       {KernelKind::kCsrCStationaryRowWarp, KernelKind::kDcsrCStationary,
-        KernelKind::kTiledDcsrOnline, KernelKind::kTiledDcsrBStationary}) {
-    const SpmmResult planned = ex.execute(kind, *plan, B);
-    const SpmmResult legacy = run_spmm(kind, A, B, cfg);
-    EXPECT_EQ(planned.C.max_abs_diff(legacy.C), 0.0) << kernel_name(kind);
-    EXPECT_EQ(planned.timing.total_ns, legacy.timing.total_ns) << kernel_name(kind);
-    EXPECT_EQ(planned.counters.flops, legacy.counters.flops) << kernel_name(kind);
+       {KernelKind::kDcsrCStationary, KernelKind::kTiledCsrBStationary,
+        KernelKind::kTiledDcsrBStationary, KernelKind::kTiledDcsrOnline,
+        KernelKind::kAStationary, KernelKind::kMergeCStationary}) {
+    SCOPED_TRACE(kernel_name(kind));
+    // Kernels never convert: a missing artifact is a caller bug.
+    EXPECT_THROW(run_spmm_t<float>(kind, csr_only, B, cfg), FormatError);
+    // The legacy entry builds what the kernel needs, once, and so does
+    // operands_for for typed callers.
+    const SpmmResult legacy = run_spmm(kind, csr_only, B, cfg);
+    const SpmmResult typed =
+        run_spmm_t<float>(kind, operands_for(kind, A, cfg.tiling).bundle(), B, cfg);
+    EXPECT_TRUE(same_bits(legacy.C, typed.C));
+    EXPECT_EQ(legacy.timing.total_ns, typed.timing.total_ns);
+    // A bundle built under another tiling is not silently re-tiled by
+    // the typed entry; the legacy entry rebuilds it under cfg.tiling.
+    const bool tiled = kind == KernelKind::kTiledCsrBStationary ||
+                       kind == KernelKind::kTiledDcsrBStationary ||
+                       kind == KernelKind::kAStationary;
+    if (tiled) {
+      EXPECT_THROW(run_spmm_t<float>(kind, mistiled->operands(), B, cfg), FormatError);
+    }
+    const SpmmResult rebuilt = run_spmm(kind, mistiled->operands(), B, cfg);
+    EXPECT_TRUE(same_bits(rebuilt.C, legacy.C));
+    EXPECT_EQ(rebuilt.timing.total_ns, legacy.timing.total_ns);
   }
 }
 

@@ -4,22 +4,27 @@
 //
 // The load-bearing invariant: a sweep interrupted at ANY point and then
 // resumed from its journal produces bit-identical rows — same values,
-// same ordering — as an uninterrupted run, at any job count.  The tests
-// interrupt via injected cancellation at three points (after the first
-// arm, mid-sweep, after the last arm) × jobs {1, 4} and compare against
-// an uninterrupted baseline with exact EXPECT_EQ on every double.
+// same ordering — as an uninterrupted run, at any job count and under
+// either suite backend (in-process pool threads or isolated worker
+// processes).  The tests interrupt via injected cancellation at three
+// points (after the first arm, mid-sweep, after the last arm) × jobs
+// {1, 4} × both backends and compare against an uninterrupted
+// in-process baseline with exact EXPECT_EQ on every double.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/executor.hpp"
 #include "core/journal.hpp"
 #include "obs/json_check.hpp"
+#include "proc/suite.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
@@ -49,6 +54,22 @@ void expect_rows_identical(const std::vector<SuiteRow>& a,
   }
 }
 
+/// Which suite runner executes a sweep.
+enum class Backend { kInProcess, kIsolated };
+
+void PrintTo(Backend b, std::ostream* os) {
+  *os << (b == Backend::kInProcess ? "in_process" : "isolated");
+}
+
+/// run_suite, or run_suite_isolated with one worker process per job.
+std::vector<SuiteRow> run_on(Backend backend, const std::vector<MatrixSpec>& specs,
+                             const SpmmConfig& cfg, index_t K, const SuiteOptions& opts) {
+  if (backend == Backend::kInProcess) return run_suite(specs, cfg, K, {}, opts);
+  proc::ProcOptions po;
+  po.workers = std::max(1, opts.jobs);
+  return proc::run_suite_isolated(specs, cfg, K, {}, opts, po);
+}
+
 /// Unique per-test journal path under the gtest temp dir; removed up
 /// front so a crashed earlier run can't leak state in.
 std::string journal_path(const std::string& stem) {
@@ -64,7 +85,7 @@ std::string journal_path(const std::string& stem) {
 /// counts freshly appended entries only.
 bool run_until(const std::vector<MatrixSpec>& specs, const SpmmConfig& cfg, index_t K,
                const std::string& path, int jobs, usize cancel_at,
-               bool resume = false) {
+               bool resume = false, Backend backend = Backend::kInProcess) {
   SuiteOptions opts;
   opts.jobs = jobs;
   opts.journal_path = path;
@@ -75,7 +96,7 @@ bool run_until(const std::vector<MatrixSpec>& specs, const SpmmConfig& cfg, inde
     if (entries >= cancel_at) token.request(CancelReason::kUser);
   };
   try {
-    run_suite(specs, cfg, K, {}, opts);
+    run_on(backend, specs, cfg, K, opts);
     return false;
   } catch (const CancelledError&) {
     return true;
@@ -84,59 +105,82 @@ bool run_until(const std::vector<MatrixSpec>& specs, const SpmmConfig& cfg, inde
 
 std::vector<SuiteRow> resume(const std::vector<MatrixSpec>& specs,
                              const SpmmConfig& cfg, index_t K,
-                             const std::string& path, int jobs) {
+                             const std::string& path, int jobs,
+                             Backend backend = Backend::kInProcess) {
   SuiteOptions opts;
   opts.jobs = jobs;
   opts.journal_path = path;
   opts.resume = true;
-  return run_suite(specs, cfg, K, {}, opts);
+  return run_on(backend, specs, cfg, K, opts);
 }
 
-class ResumeBitIdentical : public testing::TestWithParam<int> {};
+/// A job count (worker processes, when isolated) and a backend.  Prints
+/// as the job count alone, so the in-process instances keep their
+/// `Jobs/…/<jobs>` test names.
+struct JobsOn {
+  int jobs;
+  Backend backend;
+};
+void PrintTo(const JobsOn& p, std::ostream* os) { *os << p.jobs; }
+
+/// Per-backend journal stem, so instances never share a file.
+std::string stem_for(const std::string& stem, const JobsOn& p) {
+  return stem + (p.backend == Backend::kIsolated ? "_iso_j" : "_j") + std::to_string(p.jobs);
+}
+
+class ResumeBitIdentical : public testing::TestWithParam<JobsOn> {};
 
 TEST_P(ResumeBitIdentical, InterruptAfterFirstArmThenResume) {
-  const int jobs = GetParam();
+  const int jobs = GetParam().jobs;
+  const Backend backend = GetParam().backend;
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
   const auto baseline = run_suite(specs, cfg, K, {}, 1);
-  const std::string path =
-      journal_path("first_arm_j" + std::to_string(jobs));
-  // Entry 1 is the first row's plan record, entry 2 its first finished
-  // arm — cancelling there leaves a partially-executed row behind.
-  ASSERT_TRUE(run_until(specs, cfg, K, path, jobs, 2));
-  expect_rows_identical(baseline, resume(specs, cfg, K, path, jobs));
+  const std::string path = journal_path(stem_for("first_arm", GetParam()));
+  // Entry 1 is the first row's plan record.  By entry 2 the row window
+  // has planned ahead, so cancelling there leaves planned rows whose
+  // arms have not all finished behind.
+  ASSERT_TRUE(run_until(specs, cfg, K, path, jobs, 2, false, backend));
+  expect_rows_identical(baseline, resume(specs, cfg, K, path, jobs, backend));
 }
 
 TEST_P(ResumeBitIdentical, InterruptMidSweepThenResume) {
-  const int jobs = GetParam();
+  const int jobs = GetParam().jobs;
+  const Backend backend = GetParam().backend;
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
   const auto baseline = run_suite(specs, cfg, K, {}, 1);
-  const std::string path = journal_path("mid_sweep_j" + std::to_string(jobs));
+  const std::string path = journal_path(stem_for("mid_sweep", GetParam()));
   // An uninterrupted sweep journals ~5 entries per row (plan + 4 arms).
   const usize midpoint = specs.size() * 5 / 2;
-  ASSERT_TRUE(run_until(specs, cfg, K, path, jobs, midpoint));
-  expect_rows_identical(baseline, resume(specs, cfg, K, path, jobs));
+  ASSERT_TRUE(run_until(specs, cfg, K, path, jobs, midpoint, false, backend));
+  expect_rows_identical(baseline, resume(specs, cfg, K, path, jobs, backend));
 }
 
 TEST_P(ResumeBitIdentical, ResumeAfterCompletionIsAPureReplay) {
-  const int jobs = GetParam();
+  const int jobs = GetParam().jobs;
+  const Backend backend = GetParam().backend;
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
   const auto baseline = run_suite(specs, cfg, K, {}, 1);
-  const std::string path = journal_path("complete_j" + std::to_string(jobs));
+  const std::string path = journal_path(stem_for("complete", GetParam()));
   // Not interrupted: every arm lands in the journal.
-  ASSERT_FALSE(run_until(specs, cfg, K, path, jobs, ~usize{0}));
+  ASSERT_FALSE(run_until(specs, cfg, K, path, jobs, ~usize{0}, false, backend));
   const auto before = std::filesystem::file_size(path);
-  expect_rows_identical(baseline, resume(specs, cfg, K, path, jobs));
+  expect_rows_identical(baseline, resume(specs, cfg, K, path, jobs, backend));
   // A pure replay executes nothing, so it appends nothing.
   EXPECT_EQ(std::filesystem::file_size(path), before);
 }
 
-INSTANTIATE_TEST_SUITE_P(Jobs, ResumeBitIdentical, testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(Jobs, ResumeBitIdentical,
+                         testing::Values(JobsOn{1, Backend::kInProcess},
+                                         JobsOn{4, Backend::kInProcess}));
+INSTANTIATE_TEST_SUITE_P(IsolatedWorkers, ResumeBitIdentical,
+                         testing::Values(JobsOn{1, Backend::kIsolated},
+                                         JobsOn{4, Backend::kIsolated}));
 
 TEST(ResumeVerification, MismatchedFingerprintIsRejected) {
   const auto specs = tiny_specs();
@@ -243,7 +287,17 @@ TEST(ResumeVerification, EmptyJournalIsACleanFreshStart) {
   expect_rows_identical(baseline, resume(specs, cfg, K, path, 1));
 }
 
-TEST(ResumeTimeouts, ArmTimeoutBecomesTypedRowsUnderContinue) {
+/// Deadlines under both backends: the isolated runner arms the per-arm
+/// deadline inside the worker process, the suite deadline in the parent.
+class ResumeTimeouts : public testing::TestWithParam<Backend> {
+ protected:
+  /// Per-backend journal stem, so instances never share a file.
+  static std::string backend_stem(const std::string& stem) {
+    return stem + (GetParam() == Backend::kIsolated ? "_iso" : "");
+  }
+};
+
+TEST_P(ResumeTimeouts, ArmTimeoutBecomesTypedRowsUnderContinue) {
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
@@ -253,7 +307,7 @@ TEST(ResumeTimeouts, ArmTimeoutBecomesTypedRowsUnderContinue) {
   // An already-expired deadline: the very first cancellation poll in
   // each arm throws, deterministically, regardless of machine speed.
   opts.arm_timeout_ms = 1e-6;
-  const auto rows = run_suite(specs, cfg, K, {}, opts);
+  const auto rows = run_on(GetParam(), specs, cfg, K, opts);
   ASSERT_FALSE(rows.empty());
   for (const auto& r : rows) {
     EXPECT_FALSE(r.ok());
@@ -263,7 +317,7 @@ TEST(ResumeTimeouts, ArmTimeoutBecomesTypedRowsUnderContinue) {
   }
 }
 
-TEST(ResumeTimeouts, ArmTimeoutThrowsUnderFailFast) {
+TEST_P(ResumeTimeouts, ArmTimeoutThrowsUnderFailFast) {
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
@@ -271,20 +325,20 @@ TEST(ResumeTimeouts, ArmTimeoutThrowsUnderFailFast) {
   opts.jobs = 2;
   opts.policy = SuiteErrorPolicy::kFailFast;
   opts.arm_timeout_ms = 1e-6;
-  EXPECT_THROW(run_suite(specs, cfg, K, {}, opts), TimeoutError);
+  EXPECT_THROW(run_on(GetParam(), specs, cfg, K, opts), TimeoutError);
 }
 
-TEST(ResumeTimeouts, SuiteDeadlineThrowsTimeoutAfterDrain) {
+TEST_P(ResumeTimeouts, SuiteDeadlineThrowsTimeoutAfterDrain) {
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
   SuiteOptions opts;
   opts.jobs = 2;
   opts.suite_timeout_ms = 1e-6;  // expired before the first row starts
-  EXPECT_THROW(run_suite(specs, cfg, K, {}, opts), TimeoutError);
+  EXPECT_THROW(run_on(GetParam(), specs, cfg, K, opts), TimeoutError);
 }
 
-TEST(ResumeTimeouts, SuiteDeadlineDoesNotPoisonTheCallersToken) {
+TEST_P(ResumeTimeouts, SuiteDeadlineDoesNotPoisonTheCallersToken) {
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
@@ -296,26 +350,26 @@ TEST(ResumeTimeouts, SuiteDeadlineDoesNotPoisonTheCallersToken) {
   first.jobs = 2;
   first.suite_timeout_ms = 1e-6;
   first.cancel = token;
-  EXPECT_THROW(run_suite(specs, cfg, K, {}, first), TimeoutError);
+  EXPECT_THROW(run_on(GetParam(), specs, cfg, K, first), TimeoutError);
   EXPECT_FALSE(token.cancelled());
   SuiteOptions second;
   second.jobs = 2;
   second.cancel = token;
-  const auto rows = run_suite(specs, cfg, K, {}, second);
+  const auto rows = run_on(GetParam(), specs, cfg, K, second);
   EXPECT_EQ(rows.size(), run_suite(specs, cfg, K, {}, 1).size());
 }
 
-TEST(ResumeTimeouts, TimedOutArmsAreJournaledAndReplayedAsFailures) {
+TEST_P(ResumeTimeouts, TimedOutArmsAreJournaledAndReplayedAsFailures) {
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
-  const std::string path = journal_path("timeout_journal");
+  const std::string path = journal_path(backend_stem("timeout_journal"));
   SuiteOptions opts;
   opts.jobs = 1;
   opts.policy = SuiteErrorPolicy::kContinue;
   opts.arm_timeout_ms = 1e-6;
   opts.journal_path = path;
-  const auto rows = run_suite(specs, cfg, K, {}, opts);
+  const auto rows = run_on(GetParam(), specs, cfg, K, opts);
   // Unlike cancellation, a timeout is a *result*: it lands in the
   // journal, and a later resume (without the timeout) replays it rather
   // than silently retrying.
@@ -324,21 +378,21 @@ TEST(ResumeTimeouts, TimedOutArmsAreJournaledAndReplayedAsFailures) {
   again.policy = SuiteErrorPolicy::kContinue;
   again.journal_path = path;
   again.resume = true;
-  const auto replayed = run_suite(specs, cfg, K, {}, again);
+  const auto replayed = run_on(GetParam(), specs, cfg, K, again);
   expect_rows_identical(rows, replayed);
 }
 
-TEST(ResumeTimeouts, ReplayedTimeoutRethrowsAsTimeoutUnderFailFast) {
+TEST_P(ResumeTimeouts, ReplayedTimeoutRethrowsAsTimeoutUnderFailFast) {
   const auto specs = tiny_specs();
   const index_t K = 8;
   const SpmmConfig cfg = evaluation_config(4096, K);
-  const std::string path = journal_path("timeout_fail_fast");
+  const std::string path = journal_path(backend_stem("timeout_fail_fast"));
   SuiteOptions opts;
   opts.jobs = 1;
   opts.policy = SuiteErrorPolicy::kContinue;
   opts.arm_timeout_ms = 1e-6;
   opts.journal_path = path;
-  (void)run_suite(specs, cfg, K, {}, opts);
+  (void)run_on(GetParam(), specs, cfg, K, opts);
   // fail_fast on resume must map the journaled description back to the
   // original exception type (same CLI exit code as the first run).
   SuiteOptions again;
@@ -346,8 +400,11 @@ TEST(ResumeTimeouts, ReplayedTimeoutRethrowsAsTimeoutUnderFailFast) {
   again.policy = SuiteErrorPolicy::kFailFast;
   again.journal_path = path;
   again.resume = true;
-  EXPECT_THROW(run_suite(specs, cfg, K, {}, again), TimeoutError);
+  EXPECT_THROW(run_on(GetParam(), specs, cfg, K, again), TimeoutError);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backend, ResumeTimeouts,
+                         testing::Values(Backend::kInProcess, Backend::kIsolated));
 
 TEST(JournalSummary, SummaryJsonCountsMatchTheReplay) {
   const auto specs = tiny_specs();

@@ -183,7 +183,8 @@ void expect_matches_dense_reduction(const Csr& A32, const DenseMatrix& B32, Chec
       for (KernelKind kind : kStripShardedKernels) {
         SCOPED_TRACE(std::string(kernel_name(kind)) + " " + precision_name(VTraits<V>::kPrecision) +
                      (cache_sim ? " cache-sim" : " counting"));
-        const SpmmResult got = run_spmm_t<V>(kind, SpmmOperandsT<V>::from_csr(A), B, cfg);
+        const SpmmResult got =
+            run_spmm_t<V>(kind, operands_for(kind, A, cfg.tiling).bundle(), B, cfg);
         EXPECT_TRUE(same_bits(got.C, want.C));
         EXPECT_TRUE(same_bits(got.C64, want.C64));
         check(got.C);
