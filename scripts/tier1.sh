@@ -5,7 +5,7 @@
 # resumed, and linted; committed BENCH_kernels.json linted), the
 # performance observatory (trace -> markdown report + folded flamegraph
 # stacks + jobs=1-vs-jobs=4 diff, and the bench-trajectory rolling-best
-# gate over results/bench_history.jsonl), the tsan
+# gate over a scratch copy of results/bench_history.jsonl), the tsan
 # preset re-running the concurrency tests (thread pool, plan cache,
 # parallel suite runner, the intra-kernel shard fan-out, chaos sweep,
 # resume/cancellation, and the tracer) under ThreadSanitizer, and the
@@ -110,9 +110,12 @@ echo "==== tier-1: serial-perf regression gate (f32) ===="
 # routinely.  0.60 slack still catches the regressions that matter —
 # losing SIMD dispatch, a complexity blowup, or a fast-path bypass are
 # all well over 2x.
+# The runs append to a copy of the committed history, so a passing
+# tier-1 leaves the checkout unmodified.
+cp results/bench_history.jsonl "$smoke_dir/bench_history.jsonl"
 timeout 900 ./build/bench/micro_kernels --scale medium --iters 3 \
   --precision f32 --out "$smoke_dir/bench_now.json" \
-  --history results/bench_history.jsonl
+  --history "$smoke_dir/bench_history.jsonl"
 timeout 60 python3 scripts/check_serial_perf.py \
   BENCH_kernels.json "$smoke_dir/bench_now.json" \
   --max-slowdown 0.60 --abs-slack-ms 5.0
@@ -124,7 +127,7 @@ timeout 60 python3 scripts/check_serial_perf.py \
 # single quiet-host run permanently lowers the bar for every noisy
 # run after it.
 timeout 60 python3 scripts/check_serial_perf.py "$smoke_dir/bench_now.json" \
-  --history results/bench_history.jsonl --max-slowdown 0.60 --abs-slack-ms 5.0
+  --history "$smoke_dir/bench_history.jsonl" --max-slowdown 0.60 --abs-slack-ms 5.0
 
 echo "==== tier-1: counting-mode sweep (fast-path smoke) ===="
 # The counting fast path is the default-mode hot configuration: time
@@ -133,7 +136,7 @@ echo "==== tier-1: counting-mode sweep (fast-path smoke) ===="
 # when the cachesim numbers above stay flat.
 timeout 900 ./build/bench/micro_kernels --scale medium --iters 3 \
   --precision f32 --mode counting --out "$smoke_dir/bench_counting.json" \
-  --history results/bench_history.jsonl
+  --history "$smoke_dir/bench_history.jsonl"
 
 echo "==== tier-1: service smoke (daemon burst + SIGTERM drain) ===="
 # The SpMM daemon end to end: start it on a FIFO so stdin stays open,

@@ -37,9 +37,26 @@ class L2Cache {
     i64 dram_write_bytes = 0;  ///< dirty eviction writeback
   };
 
-  /// Access one sector-aligned address (the memory system splits warp
-  /// requests into sectors before calling this).
-  AccessResult access(u64 addr, bool is_write);
+  struct LineResult {
+    u32 miss_sectors = 0;      ///< sectors to fill from DRAM, one fill each
+    i64 writeback_bytes = 0;   ///< dirty eviction writeback (at most one)
+  };
+
+  /// Access the sectors `sector_mask` (bit i = sector i) of line
+  /// `line_addr` (= address / l2_line_bytes) with one set lookup.
+  /// Exactly equivalent to access() on each set bit in ascending order:
+  /// the clock and `accesses` advance by popcount(mask), the line's LRU
+  /// stamp is the final clock, a resident line hits popcount(mask &
+  /// valid), and an allocated line misses every sector with at most one
+  /// eviction.  `sector_mask` must be non-empty.
+  LineResult access_line(u64 line_addr, u32 sector_mask, bool is_write);
+
+  /// Access one sector-aligned address.
+  AccessResult access(u64 addr, bool is_write) {
+    const LineResult r = access_line(addr >> line_shift_,
+                                     u32{1} << ((addr & line_mask_) >> sector_shift_), is_write);
+    return {r.miss_sectors == 0, r.miss_sectors != 0 ? sector_bytes_ : 0, r.writeback_bytes};
+  }
 
   const CacheStats& stats() const { return stats_; }
 
@@ -49,21 +66,24 @@ class L2Cache {
   int sectors_per_line() const { return sectors_per_line_; }
 
  private:
-  struct Line {
-    u64 tag = 0;
-    u32 valid_sectors = 0;  ///< bitmap
-    u32 dirty_sectors = 0;
-    u64 lru_stamp = 0;
-    bool valid = false;
-  };
+  u32 set_of(u64 line_addr) const;
 
   int ways_;
   int num_sets_;
-  int line_bytes_;
-  int sector_bytes_;
+  i64 sector_bytes_;
   int sectors_per_line_;
+  int line_shift_;
+  int sector_shift_;
+  u64 line_mask_;
+  u64 set_reciprocal_;  ///< fastmod constant: 2^64 / num_sets_ rounded up
   u64 access_clock_ = 0;
-  std::vector<Line> lines_;  ///< num_sets_ * ways_
+  // Struct-of-arrays, num_sets_ * ways_ each.  Tag = line_addr + 1, so 0
+  // marks an invalid way; invalid ways keep stamp 0, below every valid
+  // line's stamp, which makes the LRU victim the first minimum stamp.
+  std::vector<u64> tags_;
+  std::vector<u64> stamps_;
+  std::vector<u32> valid_sectors_;
+  std::vector<u32> dirty_sectors_;
   CacheStats stats_;
 };
 

@@ -1,24 +1,27 @@
 #include "gpusim/dram.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace nmdt {
 
 DramChannelSim::DramChannelSim(const ArchConfig& arch)
-    : banks_(arch.dram_banks_per_channel),
-      row_bytes_(arch.dram_row_bytes),
+    : row_shift_(std::countr_zero(static_cast<u64>(arch.dram_row_bytes))),
+      bank_shift_(std::countr_zero(static_cast<u32>(arch.dram_banks_per_channel))),
+      bank_mask_(static_cast<u64>(arch.dram_banks_per_channel) - 1),
       ns_per_byte_(1.0 / arch.bw_per_channel_gbps),
       miss_penalty_ns_(arch.dram_row_miss_penalty_ns / arch.dram_bank_parallelism) {
-  NMDT_CHECK_CONFIG(banks_ > 0 && row_bytes_ > 0, "DRAM geometry must be positive");
-  open_row_.assign(static_cast<usize>(banks_), ~u64{0});
+  arch.validate();  // power-of-two rows and banks: decode by shift and mask
+  open_row_.assign(static_cast<usize>(arch.dram_banks_per_channel), ~u64{0});
 }
 
 void DramChannelSim::access(u64 addr, i64 bytes) {
   if (bytes <= 0) return;
   busy_ns_ += static_cast<double>(bytes) * ns_per_byte_;
-  const u64 global_row = addr / static_cast<u64>(row_bytes_);
-  const usize bank = static_cast<usize>(global_row % static_cast<u64>(banks_));
-  const u64 row = global_row / static_cast<u64>(banks_);
+  const u64 global_row = addr >> row_shift_;
+  const usize bank = static_cast<usize>(global_row & bank_mask_);
+  const u64 row = global_row >> bank_shift_;
   if (open_row_[bank] == row) {
     ++row_hits_;
   } else {

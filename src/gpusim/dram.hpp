@@ -39,8 +39,9 @@ class DramChannelSim {
   void reset();
 
  private:
-  int banks_;
-  i64 row_bytes_;
+  int row_shift_;   ///< log2(dram_row_bytes)
+  int bank_shift_;  ///< log2(dram_banks_per_channel)
+  u64 bank_mask_;
   double ns_per_byte_;
   double miss_penalty_ns_;  ///< already divided by bank parallelism
   double busy_ns_ = 0.0;

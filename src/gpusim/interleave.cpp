@@ -1,6 +1,6 @@
 #include "gpusim/interleave.hpp"
 
-#include "util/error.hpp"
+#include <bit>
 
 namespace nmdt {
 
@@ -8,11 +8,9 @@ Interleaver::Interleaver(const ArchConfig& arch)
     : channels_(arch.pseudo_channels),
       partitions_(arch.fb_partitions),
       channels_per_partition_(arch.pseudo_channels / arch.fb_partitions) {
-  arch.validate();
-  granule_shift_ = 0;
-  while ((i64{1} << granule_shift_) < arch.interleave_bytes) ++granule_shift_;
-  NMDT_CHECK_CONFIG((i64{1} << granule_shift_) == arch.interleave_bytes,
-                    "interleave_bytes must be a power of two");
+  arch.validate();  // interleave_bytes is a power of two
+  granule_shift_ = std::countr_zero(static_cast<u64>(arch.interleave_bytes));
+  channel_reciprocal_ = fastmod_constant(static_cast<u32>(channels_));
 }
 
 }  // namespace nmdt

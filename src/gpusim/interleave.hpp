@@ -12,6 +12,7 @@
 #pragma once
 
 #include "gpusim/arch.hpp"
+#include "gpusim/fastmod.hpp"
 
 namespace nmdt {
 
@@ -22,7 +23,9 @@ class Interleaver {
   int channel_of(u64 addr) const {
     u64 g = addr >> granule_shift_;
     g *= 0x9e3779b97f4a7c15ULL;  // Fibonacci hash: decorrelate strides
-    return static_cast<int>((g >> 40) % static_cast<u64>(channels_));
+    // g >> 40 < 2^24: a 32-bit remainder, taken without a divide.
+    return static_cast<int>(
+        fastmod_u32(static_cast<u32>(g >> 40), channel_reciprocal_, static_cast<u32>(channels_)));
   }
 
   int partition_of(u64 addr) const { return channel_of(addr) / channels_per_partition_; }
@@ -38,6 +41,7 @@ class Interleaver {
   int partitions_;
   int channels_per_partition_;
   int granule_shift_;
+  u64 channel_reciprocal_;  ///< fastmod constant for channels_
 };
 
 }  // namespace nmdt

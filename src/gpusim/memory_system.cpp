@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -76,7 +77,11 @@ MemStats& MemStats::operator+=(const MemStats& o) {
 }
 
 MemorySystem::MemorySystem(const ArchConfig& arch, MemMode mode)
-    : arch_(arch), mode_(mode), interleave_(arch) {
+    : arch_(arch),
+      mode_(mode),
+      interleave_(arch),
+      line_shift_(std::countr_zero(static_cast<u32>(arch.l2_line_bytes))),
+      sector_shift_(std::countr_zero(static_cast<u32>(arch.l2_sector_bytes))) {
   arch_.validate();
   stats_.channels.assign(static_cast<usize>(arch.pseudo_channels), ChannelStats{});
   if (mode_ == MemMode::kCacheSim) {
@@ -148,8 +153,7 @@ void MemorySystem::merge(const MemorySystem& other) {
 }
 
 void MemorySystem::dram_access(u64 addr, i64 bytes, int kind) {
-  const usize channel = static_cast<usize>(interleave_.channel_of(addr));
-  ChannelStats& ch = stats_.channels[channel];
+  ChannelStats& ch = stats_.channels[static_cast<usize>(interleave_.channel_of(addr))];
   ++ch.requests;
   i64 effective = bytes;
   switch (kind) {
@@ -162,13 +166,6 @@ void MemorySystem::dram_access(u64 addr, i64 bytes, int kind) {
       break;
   }
   operand_slot(addr) += effective;
-  if (!dram_.empty()) {
-    DramChannelSim& bank_model = dram_[channel];
-    bank_model.access(addr, effective);
-    ch.busy_ns = bank_model.busy_ns();
-    ch.row_hits = bank_model.row_hits();
-    ch.row_misses = bank_model.row_misses();
-  }
 }
 
 namespace {
@@ -179,6 +176,13 @@ void for_each_sector(u64 addr, i64 bytes, i64 sector, Fn&& fn) {
   const u64 first = addr / static_cast<u64>(sector);
   const u64 last = (addr + static_cast<u64>(bytes) - 1) / static_cast<u64>(sector);
   for (u64 s = first; s <= last; ++s) fn(s * static_cast<u64>(sector));
+}
+
+/// Mirror a channel's bank-model state into its stats.
+void sync_bank_state(ChannelStats& ch, const DramChannelSim& bank) {
+  ch.busy_ns = bank.busy_ns();
+  ch.row_hits = bank.row_hits();
+  ch.row_misses = bank.row_misses();
 }
 
 /// Counting-mode fast-path switch (test hook; see the header).  Relaxed
@@ -235,41 +239,75 @@ void MemorySystem::counting_access(u64 addr, i64 bytes, int kind) {
   }
 }
 
-void MemorySystem::warp_load(u64 addr, i64 bytes) {
-  if (mode_ == MemMode::kCounting && counting_fast_path_enabled()) {
-    counting_access(addr, bytes, 0);
-    return;
-  }
-  for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
-    stats_.l2_service_bytes += arch_.l2_sector_bytes;
-    if (mode_ == MemMode::kCacheSim) {
-      const auto r = l2_->access(sector_addr, /*is_write=*/false);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, 0);
-      if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
-    } else {
-      dram_access(sector_addr, arch_.l2_sector_bytes, 0);
+void MemorySystem::cachesim_access(u64 addr, i64 bytes, int kind) {
+  if (bytes > 0) {
+    const i64 sector = arch_.l2_sector_bytes;
+    const u64 first = addr >> sector_shift_;
+    const u64 last = (addr + static_cast<u64>(bytes) - 1) >> sector_shift_;
+    const i64 sectors = static_cast<i64>(last - first + 1);
+    stats_.l2_service_bytes += sector * sectors;
+    if (kind == 2) stats_.atomic_rmw_bytes += sector * sectors;
+    const int per_line_shift = line_shift_ - sector_shift_;  // log2(sectors per line)
+    const bool is_write = kind != 0;
+    for (u64 line = first >> per_line_shift; line <= last >> per_line_shift; ++line) {
+      const u64 line_first = line << per_line_shift;
+      const u64 lo = std::max(first, line_first);
+      const u64 hi = std::min(last, line_first + (u64{1} << per_line_shift) - 1);
+      const u32 mask = static_cast<u32>(((u64{2} << (hi - lo)) - 1) << (lo - line_first));
+      const L2Cache::LineResult r = l2_->access_line(line, mask, is_write);
+      if (r.miss_sectors != 0) book_line_misses(line << line_shift_, r, kind);
     }
-  });
-  if (mode_ == MemMode::kCacheSim) stats_.l2 = l2_->stats();
+  }
+  stats_.l2 = l2_->stats();
 }
 
-void MemorySystem::warp_store(u64 addr, i64 bytes) {
-  if (mode_ == MemMode::kCounting && counting_fast_path_enabled()) {
-    counting_access(addr, bytes, 1);
-    return;
-  }
-  for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
-    stats_.l2_service_bytes += arch_.l2_sector_bytes;
-    if (mode_ == MemMode::kCacheSim) {
-      const auto r = l2_->access(sector_addr, /*is_write=*/true);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, 0);
-      if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
-    } else {
-      dram_access(sector_addr, arch_.l2_sector_bytes, 1);
-    }
-  });
-  if (mode_ == MemMode::kCacheSim) stats_.l2 = l2_->stats();
+void MemorySystem::book_line_misses(u64 line_addr, const L2Cache::LineResult& r, int kind) {
+  // Every sector of a line shares its channel (a line never straddles an
+  // interleave granule), its allocation (allocations are granule-aligned)
+  // and its DRAM bank and row (a line never straddles a row), so the hash
+  // and the operand lookup happen once per line and every event books at
+  // the line address.
+  const usize channel = static_cast<usize>(interleave_.channel_of(line_addr));
+  ChannelStats& ch = stats_.channels[channel];
+  DramChannelSim& bank = dram_[channel];
+  // A store's fill is a read; an atomic's fill is charged at the atomic rate.
+  const i64 fill =
+      kind == 2 ? static_cast<i64>(static_cast<double>(arch_.l2_sector_bytes) *
+                                   arch_.atomic_cost_multiplier)
+                : arch_.l2_sector_bytes;
+  const i64 fills = std::popcount(r.miss_sectors);
+  // Event order of a sector-by-sector walk: the first missed sector's
+  // fill, then the writeback of the line it evicted, then the remaining
+  // fills in ascending sector order.  The bank model's busy_ns is a
+  // floating-point sum, so this order is part of the result.
+  bank.access(line_addr, fill);
+  if (r.writeback_bytes > 0) bank.access(line_addr, r.writeback_bytes);
+  for (i64 i = 1; i < fills; ++i) bank.access(line_addr, fill);
+  sync_bank_state(ch, bank);
+
+  ch.requests += fills + (r.writeback_bytes > 0 ? 1 : 0);
+  (kind == 2 ? ch.atomic_bytes : ch.read_bytes) += fill * fills;
+  ch.write_bytes += r.writeback_bytes;
+  operand_slot(line_addr) += fill * fills + r.writeback_bytes;
 }
+
+void MemorySystem::request(u64 addr, i64 bytes, int kind) {
+  if (mode_ == MemMode::kCacheSim) {
+    cachesim_access(addr, bytes, kind);
+  } else if (counting_fast_path_enabled()) {
+    counting_access(addr, bytes, kind);
+  } else {
+    for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
+      stats_.l2_service_bytes += arch_.l2_sector_bytes;
+      if (kind == 2) stats_.atomic_rmw_bytes += arch_.l2_sector_bytes;
+      dram_access(sector_addr, arch_.l2_sector_bytes, kind);
+    });
+  }
+}
+
+void MemorySystem::warp_load(u64 addr, i64 bytes) { request(addr, bytes, 0); }
+
+void MemorySystem::warp_store(u64 addr, i64 bytes) { request(addr, bytes, 1); }
 
 void MemorySystem::warp_atomic(u64 addr, i64 bytes) {
   // Atomics resolve at the LLC: partial C tiles live in L2 (Sec. 3.1.1)
@@ -277,42 +315,15 @@ void MemorySystem::warp_atomic(u64 addr, i64 bytes) {
   // atomic_cost_multiplier× LLC bandwidth (tracked in atomic_rmw_bytes
   // and charged by the timing model).  Only misses/writebacks reach
   // DRAM — charged at the atomic (2×) rate there too.
-  if (mode_ == MemMode::kCounting && counting_fast_path_enabled()) {
-    counting_access(addr, bytes, 2);
-    return;
-  }
-  for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
-    stats_.l2_service_bytes += arch_.l2_sector_bytes;
-    stats_.atomic_rmw_bytes += arch_.l2_sector_bytes;
-    if (mode_ == MemMode::kCacheSim) {
-      const auto r = l2_->access(sector_addr, /*is_write=*/true);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, 2);
-      if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
-    } else {
-      dram_access(sector_addr, arch_.l2_sector_bytes, 2);
-    }
-  });
-  if (mode_ == MemMode::kCacheSim) stats_.l2 = l2_->stats();
+  request(addr, bytes, 2);
 }
 
 void MemorySystem::warp_load_run(std::span<const u64> addrs, i64 bytes_each) {
-  if (mode_ == MemMode::kCacheSim || !counting_fast_path_enabled()) {
-    // The L2 / DRAM bank models are stateful: preserve the exact
-    // per-entry event order so stats match the unbatched path bit for
-    // bit.  (With the fast path disabled this is also the counting-mode
-    // event path the equality tests compare against.)
-    for (u64 addr : addrs) warp_load(addr, bytes_each);
-    return;
-  }
-  for (u64 addr : addrs) counting_access(addr, bytes_each, 0);
+  for (u64 addr : addrs) request(addr, bytes_each, 0);
 }
 
 void MemorySystem::warp_atomic_run(std::span<const u64> addrs, i64 bytes_each) {
-  if (mode_ == MemMode::kCacheSim || !counting_fast_path_enabled()) {
-    for (u64 addr : addrs) warp_atomic(addr, bytes_each);
-    return;
-  }
-  for (u64 addr : addrs) counting_access(addr, bytes_each, 2);
+  for (u64 addr : addrs) request(addr, bytes_each, 2);
 }
 
 void MemorySystem::engine_read(u64 addr, i64 bytes) {
@@ -326,9 +337,7 @@ void MemorySystem::engine_read(u64 addr, i64 bytes) {
   operand_slot(addr) += bytes;
   if (!dram_.empty()) {
     dram_[channel].stream(bytes);
-    ch.busy_ns = dram_[channel].busy_ns();
-    ch.row_hits = dram_[channel].row_hits();
-    ch.row_misses = dram_[channel].row_misses();
+    sync_bank_state(ch, dram_[channel]);
   }
 }
 
@@ -341,9 +350,7 @@ void MemorySystem::engine_read_channel(int channel, i64 bytes, const char* tag) 
   stats_.operand_bytes[tag] += bytes;
   if (!dram_.empty()) {
     dram_[static_cast<usize>(channel)].stream(bytes);
-    ch.busy_ns = dram_[static_cast<usize>(channel)].busy_ns();
-    ch.row_hits = dram_[static_cast<usize>(channel)].row_hits();
-    ch.row_misses = dram_[static_cast<usize>(channel)].row_misses();
+    sync_bank_state(ch, dram_[static_cast<usize>(channel)]);
   }
 }
 

@@ -134,7 +134,20 @@ class MemorySystem {
   void reset_stats();
 
  private:
-  void dram_access(u64 addr, i64 bytes, int kind);  // 0=read,1=write,2=atomic
+  /// One warp request of kind 0=read, 1=write, 2=atomic, routed by mode.
+  void request(u64 addr, i64 bytes, int kind);
+
+  /// Counting-mode per-sector event (the path the fast-path test hook
+  /// compares against).
+  void dram_access(u64 addr, i64 bytes, int kind);
+
+  /// Cache-sim mode: walk the request's 128 B lines, one
+  /// L2Cache::access_line per line.
+  void cachesim_access(u64 addr, i64 bytes, int kind);
+
+  /// Book one line's L2 misses and writeback at its channel and bank
+  /// model, in the order a sector-by-sector walk issues them.
+  void book_line_misses(u64 line_addr, const L2Cache::LineResult& r, int kind);
 
   /// Counting-mode fast path for one warp request: per-granule
   /// aggregated sector accounting (channel hash and operand lookup once
@@ -162,6 +175,8 @@ class MemorySystem {
   ArchConfig arch_;
   MemMode mode_;
   Interleaver interleave_;
+  int line_shift_;    ///< log2(l2_line_bytes)
+  int sector_shift_;  ///< log2(l2_sector_bytes)
   std::unique_ptr<L2Cache> l2_;
   std::vector<DramChannelSim> dram_;  ///< cache-sim mode only
   std::vector<Region> regions_;       ///< sorted by begin (allocation order)

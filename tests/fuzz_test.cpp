@@ -189,8 +189,13 @@ TEST(Fuzz, MatrixMarketRejectsEntriesPastTheDeclaredCount) {
 
 /// A small but representative checkpoint journal: planned rows with
 /// successful and failed arms, a degenerate row, a row-level error.
+/// The file is named after the calling test: ctest runs each test in its
+/// own process, concurrently, and a shared path would let one test
+/// truncate the journal while another reads it.
 std::string golden_journal(u64 fingerprint) {
-  const std::string path = testing::TempDir() + "nmdt_fuzz_journal.nmdj";
+  const std::string path = testing::TempDir() + "nmdt_fuzz_journal_" +
+                           testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".nmdj";
   std::remove(path.c_str());
   {
     JournalWriter w(path, fingerprint, 4, 8, 4, 1, /*append=*/false);

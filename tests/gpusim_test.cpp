@@ -46,6 +46,41 @@ TEST(Arch, ValidateRejectsBadGeometry) {
   EXPECT_THROW(c.validate(), ConfigError);
 }
 
+// The cache-sim line walk decodes by shift and mask and books a whole
+// line against one channel and one DRAM row; validate() enforces the
+// geometry that makes that exact.
+TEST(Arch, ValidateRequiresPowerOfTwoLineSectorRowAndBanks) {
+  ArchConfig c = ArchConfig::gv100();
+  c.l2_line_bytes = 96;  // a multiple of the 32 B sector, not a power of two
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = ArchConfig::gv100();
+  c.l2_line_bytes = 96;
+  c.l2_sector_bytes = 24;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = ArchConfig::gv100();
+  c.dram_row_bytes = 3072;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = ArchConfig::gv100();
+  c.dram_banks_per_channel = 12;
+  EXPECT_THROW(c.validate(), ConfigError);
+}
+
+TEST(Arch, ValidateRequiresLineWithinInterleaveGranule) {
+  ArchConfig c = ArchConfig::gv100();
+  c.interleave_bytes = 64;  // a power of two, but smaller than a 128 B line
+  EXPECT_THROW(c.validate(), ConfigError);
+  c.interleave_bytes = 128;
+  EXPECT_NO_THROW(c.validate());
+}
+
+TEST(Arch, ValidateRequiresLineWithinDramRow) {
+  ArchConfig c = ArchConfig::gv100();
+  c.dram_row_bytes = 64;  // a power of two, but smaller than a 128 B line
+  EXPECT_THROW(c.validate(), ConfigError);
+  c.dram_row_bytes = 128;
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Interleaver, StableWithinGranuleAndDeterministic) {
   const Interleaver il(ArchConfig::gv100());
   EXPECT_EQ(il.granule_bytes(), 256);
@@ -133,6 +168,36 @@ TEST(L2Cache, DirtyEvictionWritesBack) {
   l2.access(0, true);  // dirty
   const auto evict = l2.access(set_stride, false);  // same set, evicts
   EXPECT_EQ(evict.dram_write_bytes, 32);
+  EXPECT_EQ(l2.stats().writebacks, 1u);
+}
+
+TEST(L2Cache, AccessLineBooksEverySectorOfTheMask) {
+  L2Cache l2(ArchConfig::gv100());
+  // Allocating a line misses every masked sector.
+  auto r = l2.access_line(0x40, 0b1011, /*is_write=*/true);
+  EXPECT_EQ(r.miss_sectors, 0b1011u);
+  EXPECT_EQ(r.writeback_bytes, 0);
+  EXPECT_EQ(l2.stats().accesses, 3u);
+  EXPECT_EQ(l2.stats().sector_misses, 3u);
+  // On a resident line only the unfilled sectors miss.
+  r = l2.access_line(0x40, 0b0110, /*is_write=*/false);
+  EXPECT_EQ(r.miss_sectors, 0b0100u);
+  EXPECT_EQ(l2.stats().accesses, 5u);
+  EXPECT_EQ(l2.stats().sector_hits, 1u);
+  EXPECT_EQ(l2.stats().sector_misses, 4u);
+  EXPECT_EQ(l2.stats().evictions, 0u);
+}
+
+TEST(L2Cache, AccessLineEvictsOnceAndWritesBackDirtySectors) {
+  ArchConfig small = ArchConfig::gv100();
+  small.l2_bytes = 1 * 128 * 2;  // 1 way, 2 sets
+  small.l2_ways = 1;
+  L2Cache l2(small);
+  l2.access_line(0, 0b0011, /*is_write=*/true);  // two dirty sectors
+  const auto r = l2.access_line(2, 0b1111, /*is_write=*/false);  // same set
+  EXPECT_EQ(r.miss_sectors, 0b1111u);
+  EXPECT_EQ(r.writeback_bytes, 64);
+  EXPECT_EQ(l2.stats().evictions, 1u);
   EXPECT_EQ(l2.stats().writebacks, 1u);
 }
 
